@@ -13,7 +13,7 @@
 //! `run`). The committed `BENCH_micro.json` at the repo root tracks the
 //! before/after trajectory of every data-plane optimization.
 
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Instant as WallInstant;
 
 use hgw_bench::micro::MicroResult;
@@ -23,6 +23,8 @@ use hgw_core::{
 use hgw_gateway::{GatewayPolicy, NatProto, NatTable};
 use hgw_probe::throughput::{run_transfer, Direction};
 use hgw_probe::udp_timeout::measure_udp1;
+use hgw_stack::host::{Host, ListenerApp};
+use hgw_stack::iface::IfaceConfig;
 use hgw_testbed::Testbed;
 use hgw_wire::checksum::{
     copy_and_checksum, crc32c, internet_checksum, transport_checksum, ChecksumDelta,
@@ -449,6 +451,7 @@ fn bench_simulation(results: &mut Vec<MicroResult>) {
             run_transfer(&mut tb, 5001, Direction::Upload, 100 * MB)
         });
     }
+    bench_host_idle_sockets(results);
     bench(results, "simulation", "udp1_full_binary_search", None, || {
         let mut tb = Testbed::new("bench", GatewayPolicy::well_behaved(), 2, 9);
         measure_udp1(&mut tb, 20_000)
@@ -456,6 +459,39 @@ fn bench_simulation(results: &mut Vec<MicroResult>) {
     bench(results, "simulation", "testbed_bringup_double_dhcp", None, || {
         Testbed::new("bench", GatewayPolicy::well_behaved(), 3, 11)
     });
+}
+
+/// One 64-byte echo round trip (three frames: data, echo, ACK) on one TCP
+/// connection between two hosts while 1,024 other established connections
+/// sit idle on both of them. The host's per-frame cost must not grow with
+/// the idle sockets; before the socket-table indexes every poll visited all
+/// of them.
+fn bench_host_idle_sockets(results: &mut Vec<MicroResult>) {
+    const IDLE: usize = 1024;
+    let server_addr = Ipv4Addr::new(10, 0, 0, 1);
+    let mut sim = Simulator::new(5);
+    let mut client = Host::new("client");
+    client.add_iface(PortId(0), IfaceConfig::new(Ipv4Addr::new(10, 0, 0, 2), 24));
+    let mut server = Host::new("server");
+    server.add_iface(PortId(0), IfaceConfig::new(server_addr, 24));
+    server.tcp_listen(7, ListenerApp::Echo);
+    let c = sim.add_node(Box::new(client));
+    let s = sim.add_node(Box::new(server));
+    sim.connect(c, PortId(0), s, PortId(0), hgw_core::LinkConfig::ethernet_100m());
+    sim.boot();
+    let conns: Vec<_> = sim.with_node::<Host, _>(c, |h, ctx| {
+        (0..=IDLE).map(|_| h.tcp_connect(ctx, SocketAddrV4::new(server_addr, 7))).collect()
+    });
+    sim.run_for(hgw_core::Duration::from_millis(200));
+    let conn = conns[0];
+    let payload = [0x5au8; 64];
+    let round_trip = move |sim: &mut Simulator| {
+        sim.with_node::<Host, _>(c, |h, ctx| h.tcp_send(ctx, conn, &payload));
+        sim.run_for(hgw_core::Duration::from_millis(1));
+        sim.with_node::<Host, _>(c, |h, _| h.tcp_recv(conn, 4096).len())
+    };
+    assert_eq!(round_trip(&mut sim), payload.len(), "echo did not come back");
+    bench(results, "simulation", "host_frame_1k_idle_sockets", None, || round_trip(&mut sim));
 }
 
 /// The telemetry layer's own costs: one histogram sample, one counter

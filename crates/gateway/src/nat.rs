@@ -25,11 +25,11 @@
 //! and driven side-by-side over randomized policy/flow sequences to pin the
 //! equivalence.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use hgw_core::{
-    BindingLifecycle, DropReason, Duration, FlowId, Instant, LifecycleEvent, TimerWheel,
+    BindingLifecycle, DropReason, Duration, FastMap, FlowId, Instant, LifecycleEvent, TimerWheel,
 };
 
 use crate::policy::{EndpointScope, GatewayPolicy, PortAssignment, TrafficPattern};
@@ -174,50 +174,9 @@ const OCCUPANCY_LOG_CAP: usize = 2048;
 /// exact equality on all four fields.
 type QuarantineKey = (NatProto, Endpoint, Endpoint, u16);
 
-/// Multiply-rotate hasher for the table indices. NAT keys are tiny
-/// fixed-size tuples of trusted simulator state, so SipHash's DoS
-/// resistance buys nothing here while costing more than the bucket probe
-/// itself; a fixed seed also keeps hashing deterministic across runs.
-#[derive(Default)]
-struct NatHasher(u64);
-
-impl NatHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        const SEED: u64 = 0x517c_c1b7_2722_0a95;
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
-}
-
-impl std::hash::Hasher for NatHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64)
-    }
-    fn write_u16(&mut self, n: u16) {
-        self.add(n as u64)
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64)
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.add(n)
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64)
-    }
-}
-
-/// A `HashMap` over [`NatHasher`]. Never iterated (all order-bearing walks
-/// go through the slab), so the bucket layout is unobservable.
-type NatMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<NatHasher>>;
+/// The table's index maps. Never iterated (all order-bearing walks go
+/// through the slab), so the bucket layout is unobservable.
+type NatMap<K, V> = FastMap<K, V>;
 
 /// The NAPT table.
 #[derive(Debug)]

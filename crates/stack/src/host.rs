@@ -8,10 +8,10 @@
 //! server roles. Experiment drivers interact with it through
 //! [`Simulator::with_node`](hgw_core::Simulator::with_node).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-use hgw_core::{impl_node_downcast, Instant, Node, NodeCtx, PortId, TimerToken};
+use hgw_core::{impl_node_downcast, FastMap, Instant, Node, NodeCtx, PortId, TimerToken};
 use hgw_wire::dccp::DccpRepr;
 use hgw_wire::dhcp::{DhcpMessage, CLIENT_PORT, SERVER_PORT};
 use hgw_wire::dns::DnsMessage;
@@ -83,6 +83,134 @@ struct UdpSocketState {
     echo: bool,
 }
 
+/// Per-slot bookkeeping of [`TcpTable`].
+#[derive(Clone, Copy, Default)]
+struct SlotMeta {
+    /// On the dirty list: touched since the last visit by `Host::poll`.
+    dirty: bool,
+    /// The socket's cached `poll_at()`, as held in the deadline index.
+    /// `None` while the slot is dirty (the cache is stale) or idle.
+    deadline: Option<Instant>,
+}
+
+/// The TCP socket table plus the three indexes that keep every per-event
+/// cost independent of the number of open sockets (DESIGN.md §14).
+///
+/// `Host::poll` visits only dirty slots and slots whose deadline is due.
+/// That is exact because a socket that was neither touched since its last
+/// visit nor due produces no segment and no state change when visited.
+#[derive(Default)]
+struct TcpTable {
+    sockets: Vec<Option<TcpSocket>>,
+    meta: Vec<SlotMeta>,
+    /// Slots touched since their last visit (`SlotMeta::dirty` is set).
+    dirty: Vec<usize>,
+    /// `(deadline, slot)` for every settled slot with a deadline.
+    deadlines: BTreeSet<(Instant, usize)>,
+    /// `(local, remote)` to the slots holding that 4-tuple, lowest first,
+    /// so a stale socket sharing a tuple wins as a first-match scan would.
+    demux: FastMap<(u64, u64), Vec<usize>>,
+    /// Freed slots; the lowest is reused first.
+    free: BTreeSet<usize>,
+}
+
+impl TcpTable {
+    fn get(&self, idx: usize) -> Option<&TcpSocket> {
+        self.sockets.get(idx).and_then(Option::as_ref)
+    }
+
+    /// Mutable access that puts the slot on the dirty list.
+    fn touch(&mut self, idx: usize) -> Option<&mut TcpSocket> {
+        let meta = self.meta.get_mut(idx)?;
+        if !meta.dirty {
+            meta.dirty = true;
+            self.dirty.push(idx);
+            if let Some(at) = meta.deadline.take() {
+                self.deadlines.remove(&(at, idx));
+            }
+        }
+        self.sockets[idx].as_mut()
+    }
+
+    /// Stores a new socket in the lowest free slot, dirty.
+    fn insert(&mut self, socket: TcpSocket) -> usize {
+        let idx = self.free.pop_first().unwrap_or_else(|| {
+            self.sockets.push(None);
+            self.meta.push(SlotMeta::default());
+            self.sockets.len() - 1
+        });
+        let slots = self.demux.entry(tuple_key(socket.local, socket.remote)).or_default();
+        let at = slots.partition_point(|&s| s < idx);
+        slots.insert(at, idx);
+        self.sockets[idx] = Some(socket);
+        self.touch(idx);
+        idx
+    }
+
+    /// Empties a slot, dropping it from every index.
+    fn remove(&mut self, idx: usize) -> Option<TcpSocket> {
+        let socket = self.sockets.get_mut(idx)?.take()?;
+        let key = tuple_key(socket.local, socket.remote);
+        if let Some(slots) = self.demux.get_mut(&key) {
+            slots.retain(|&s| s != idx);
+            if slots.is_empty() {
+                self.demux.remove(&key);
+            }
+        }
+        if let Some(at) = self.meta[idx].deadline.take() {
+            self.deadlines.remove(&(at, idx));
+        }
+        self.free.insert(idx);
+        Some(socket)
+    }
+
+    /// The lowest slot holding the `(local, remote)` 4-tuple.
+    fn lookup(&self, local: SocketAddrV4, remote: SocketAddrV4) -> Option<usize> {
+        self.demux.get(&tuple_key(local, remote)).map(|slots| slots[0])
+    }
+
+    /// Moves every dirty slot and every slot due at `now` into `out`, in
+    /// ascending slot order. Each must be [`TcpTable::settle`]d after its
+    /// visit.
+    fn take_visits(&mut self, now: Instant, out: &mut Vec<usize>) {
+        out.clear();
+        out.append(&mut self.dirty);
+        while let Some(&(at, idx)) = self.deadlines.first() {
+            if at > now {
+                break;
+            }
+            self.deadlines.pop_first();
+            self.meta[idx].deadline = None;
+            out.push(idx);
+        }
+        // Dirty slots hold no deadline entry, so the two sets are disjoint.
+        out.sort_unstable();
+    }
+
+    /// Clears a visited slot's dirty mark and re-indexes its deadline.
+    fn settle(&mut self, idx: usize) {
+        let deadline = self.get(idx).and_then(TcpSocket::poll_at);
+        self.meta[idx] = SlotMeta { dirty: false, deadline };
+        if let Some(at) = deadline {
+            self.deadlines.insert((at, idx));
+        }
+    }
+
+    /// The earliest instant any socket needs a poll.
+    fn poll_at(&self) -> Option<Instant> {
+        let settled = self.deadlines.first().map(|&(at, _)| at);
+        let dirty = self.dirty.iter().filter_map(|&i| self.get(i).and_then(TcpSocket::poll_at));
+        settled.into_iter().chain(dirty).min()
+    }
+}
+
+/// A 4-tuple as the demux key: each endpoint packed as `addr << 16 | port`,
+/// so a lookup hashes two words.
+fn tuple_key(local: SocketAddrV4, remote: SocketAddrV4) -> (u64, u64) {
+    let pack = |a: SocketAddrV4| u64::from(u32::from(*a.ip())) << 16 | u64::from(a.port());
+    (pack(local), pack(remote))
+}
+
 /// A complete simulated endpoint.
 pub struct Host {
     /// Hostname for diagnostics.
@@ -93,10 +221,17 @@ pub struct Host {
     routes: RoutingTable,
 
     udp_sockets: Vec<Option<UdpSocketState>>,
+    /// Freed UDP slots; the lowest is reused first.
+    udp_free: BTreeSet<usize>,
     next_ephemeral: u16,
+    /// UDP and TCP sockets bound per local port, so ephemeral allocation
+    /// skips ports in use without scanning the socket tables.
+    port_uses: FastMap<u16, u32>,
 
-    tcp_sockets: Vec<Option<TcpSocket>>,
-    tcp_apps: HashMap<usize, TcpApp>,
+    tcp: TcpTable,
+    /// Slots the current poll visits (scratch, kept to avoid allocating).
+    tcp_visits: Vec<usize>,
+    tcp_apps: FastMap<usize, TcpApp>,
     tcp_listeners: Vec<TcpListener>,
     accepted: Vec<TcpHandle>,
     /// Default configuration for new sockets.
@@ -146,9 +281,12 @@ impl Host {
             aliases: Vec::new(),
             routes: RoutingTable::new(),
             udp_sockets: Vec::new(),
+            udp_free: BTreeSet::new(),
             next_ephemeral: 0,
-            tcp_sockets: Vec::new(),
-            tcp_apps: HashMap::new(),
+            port_uses: FastMap::default(),
+            tcp: TcpTable::default(),
+            tcp_visits: Vec::new(),
+            tcp_apps: FastMap::default(),
             tcp_listeners: Vec::new(),
             accepted: Vec::new(),
             tcp_config: TcpConfig::default(),
@@ -343,18 +481,20 @@ impl Host {
 
     /// Binds a UDP socket on `port` (any local address).
     pub fn udp_bind(&mut self, port: u16) -> UdpHandle {
-        let state = UdpSocketState { port, bound_addr: None, recv: Vec::new(), echo: false };
-        let idx = free_slot(&mut self.udp_sockets);
-        self.udp_sockets[idx] = Some(state);
-        UdpHandle(idx)
+        self.udp_insert(port, None)
     }
 
     /// Binds a UDP socket to a specific local address (an interface address
     /// or an alias) and port.
     pub fn udp_bind_at(&mut self, addr: Ipv4Addr, port: u16) -> UdpHandle {
-        let state = UdpSocketState { port, bound_addr: Some(addr), recv: Vec::new(), echo: false };
-        let idx = free_slot(&mut self.udp_sockets);
+        self.udp_insert(port, Some(addr))
+    }
+
+    fn udp_insert(&mut self, port: u16, bound_addr: Option<Ipv4Addr>) -> UdpHandle {
+        let state = UdpSocketState { port, bound_addr, recv: Vec::new(), echo: false };
+        let idx = free_slot(&mut self.udp_sockets, &mut self.udp_free);
         self.udp_sockets[idx] = Some(state);
+        *self.port_uses.entry(port).or_default() += 1;
         UdpHandle(idx)
     }
 
@@ -403,16 +543,29 @@ impl Host {
 
     /// Closes a UDP socket.
     pub fn udp_close(&mut self, h: UdpHandle) {
-        self.udp_sockets[h.0] = None;
+        if let Some(s) = self.udp_sockets[h.0].take() {
+            self.udp_free.insert(h.0);
+            self.release_port(s.port);
+        }
     }
 
+    /// Drops one use of a local port from the ephemeral-allocation count.
+    fn release_port(&mut self, port: u16) {
+        if let Some(n) = self.port_uses.get_mut(&port) {
+            *n -= 1;
+            if *n == 0 {
+                self.port_uses.remove(&port);
+            }
+        }
+    }
+
+    /// The next ephemeral port, in round-robin order, that no UDP or TCP
+    /// socket has bound.
     fn alloc_ephemeral(&mut self) -> u16 {
         loop {
             let port = 49_152 + (self.next_ephemeral % 16_384);
             self.next_ephemeral = self.next_ephemeral.wrapping_add(1);
-            let in_use = self.udp_sockets.iter().flatten().any(|s| s.port == port)
-                || self.tcp_sockets.iter().flatten().any(|s| s.local.port() == port);
-            if !in_use {
+            if !self.port_uses.contains_key(&port) {
                 return port;
             }
         }
@@ -446,10 +599,15 @@ impl Host {
             config,
             ctx.now(),
         );
-        let idx = free_slot(&mut self.tcp_sockets);
-        self.tcp_sockets[idx] = Some(socket);
+        let idx = self.tcp_insert(socket);
         self.poll(ctx);
         TcpHandle(idx)
+    }
+
+    /// Stores a new socket in the lowest free slot and counts its port.
+    fn tcp_insert(&mut self, socket: TcpSocket) -> usize {
+        *self.port_uses.entry(socket.local.port()).or_default() += 1;
+        self.tcp.insert(socket)
     }
 
     /// Starts listening on `port` with the given accept-time application.
@@ -469,18 +627,19 @@ impl Host {
 
     /// Access to a TCP socket.
     pub fn tcp(&self, h: TcpHandle) -> &TcpSocket {
-        self.tcp_sockets[h.0].as_ref().expect("closed socket")
+        self.tcp.get(h.0).expect("closed socket")
     }
 
     /// Mutable access to a TCP socket (driver-side reads/writes); callers
-    /// should invoke [`Host::kick`] afterwards so output is flushed.
+    /// should invoke [`Host::kick`] afterwards so output is flushed. Without
+    /// a kick, the socket's output leaves with the host's next poll.
     pub fn tcp_mut(&mut self, h: TcpHandle) -> &mut TcpSocket {
-        self.tcp_sockets[h.0].as_mut().expect("closed socket")
+        self.tcp.touch(h.0).expect("closed socket")
     }
 
     /// True if the handle still refers to a socket.
     pub fn tcp_is_alive(&self, h: TcpHandle) -> bool {
-        self.tcp_sockets.get(h.0).map(|s| s.is_some()).unwrap_or(false)
+        self.tcp.get(h.0).is_some()
     }
 
     /// Queues data on a connection and flushes output.
@@ -503,7 +662,9 @@ impl Host {
 
     /// Releases a fully closed socket slot.
     pub fn tcp_remove(&mut self, h: TcpHandle) {
-        self.tcp_sockets[h.0] = None;
+        if let Some(s) = self.tcp.remove(h.0) {
+            self.release_port(s.local.port());
+        }
         self.tcp_apps.remove(&h.0);
     }
 
@@ -541,8 +702,9 @@ impl Host {
         let tsn = ctx.rng().next_u32();
         let mut ep = SctpEndpoint::client(local_port, remote.port(), vtag, tsn);
         ep.start(ctx.now());
-        let idx = free_slot(&mut self.sctp_endpoints);
-        self.sctp_endpoints[idx] = Some(ep);
+        // SCTP and DCCP endpoints are never freed: append.
+        self.sctp_endpoints.push(Some(ep));
+        let idx = self.sctp_endpoints.len() - 1;
         self.next_sctp_remote.insert(idx, (*remote.ip(), remote.port()));
         self.poll(ctx);
         SctpHandle(idx)
@@ -577,8 +739,8 @@ impl Host {
         let iss = ctx.rng().next_u64() & 0xFFFF_FFFF_FFFF;
         let mut ep = DccpEndpoint::client(local_port, remote.port(), service, iss);
         ep.start(ctx.now());
-        let idx = free_slot(&mut self.dccp_endpoints);
-        self.dccp_endpoints[idx] = Some(ep);
+        self.dccp_endpoints.push(Some(ep));
+        let idx = self.dccp_endpoints.len() - 1;
         self.next_dccp_remote.insert(idx, (*remote.ip(), remote.port()));
         self.poll(ctx);
         DccpHandle(idx)
@@ -676,70 +838,15 @@ impl Host {
             }
         }
 
-        // TCP sockets.
-        for idx in 0..self.tcp_sockets.len() {
-            let Some(sock) = self.tcp_sockets[idx].as_mut() else { continue };
-            sock.on_timer(now);
-            // Application pumps.
-            match self.tcp_apps.get_mut(&idx) {
-                Some(TcpApp::Echo) => {
-                    loop {
-                        let data = self.tcp_sockets[idx].as_mut().unwrap().recv(4096);
-                        if data.is_empty() {
-                            break;
-                        }
-                        self.tcp_sockets[idx].as_mut().unwrap().send(&data);
-                    }
-                    // A well-behaved echo service closes when the peer does.
-                    let sock = self.tcp_sockets[idx].as_mut().unwrap();
-                    if sock.state() == crate::tcp::TcpState::CloseWait && sock.send_queue_len() == 0
-                    {
-                        sock.close();
-                    }
-                }
-                Some(TcpApp::DnsTcp { inbuf }) => {
-                    let sock = self.tcp_sockets[idx].as_mut().unwrap();
-                    let data = sock.recv(4096);
-                    inbuf.extend_from_slice(&data);
-                    let mut responses = Vec::new();
-                    while let Ok((query, consumed)) = DnsMessage::parse_tcp(inbuf) {
-                        inbuf.drain(..consumed);
-                        if let Some(zone) = &self.dns_zone {
-                            responses.push(zone.answer(&query).emit_tcp());
-                        }
-                    }
-                    let sock = self.tcp_sockets[idx].as_mut().unwrap();
-                    for resp in responses {
-                        sock.send(&resp);
-                    }
-                }
-                None => {}
-            }
-            let sock = self.tcp_sockets[idx].as_mut().unwrap();
-            let mut segs = std::mem::take(&mut self.tcp_segs);
-            sock.dispatch(now, &mut segs);
-            let (local, remote) = (sock.local, sock.remote);
-            let sent = segs.len();
-            for seg in segs.drain(..) {
-                self.send_tcp_segment(ctx, *local.ip(), *remote.ip(), seg);
-            }
-            // Segment buffers leave as frames and come back through the
-            // simulator's frame pool once delivered; refill the socket's
-            // spares from that pool so the circulation stays closed and
-            // bulk transfers keep reusing one small buffer working set.
-            if sent > 0 {
-                if let Some(sock) = self.tcp_sockets[idx].as_mut() {
-                    for _ in 0..sent {
-                        if !sock.wants_spare() {
-                            break;
-                        }
-                        let buf = ctx.alloc_frame(crate::tcp::SEGMENT_HEADROOM + 1460);
-                        sock.recycle_payload(buf);
-                    }
-                }
-            }
-            self.tcp_segs = segs;
+        // TCP sockets: only those touched since their last visit or due
+        // now; any other socket would produce nothing (DESIGN.md §14).
+        let mut visits = std::mem::take(&mut self.tcp_visits);
+        self.tcp.take_visits(now, &mut visits);
+        for &idx in &visits {
+            self.poll_tcp_socket(ctx, idx, now);
+            self.tcp.settle(idx);
         }
+        self.tcp_visits = visits;
 
         // SCTP endpoints.
         for idx in 0..self.sctp_endpoints.len() {
@@ -774,8 +881,63 @@ impl Host {
         self.reschedule(ctx);
     }
 
+    /// Runs one TCP socket's timers, application pump and output.
+    fn poll_tcp_socket(&mut self, ctx: &mut NodeCtx, idx: usize, now: Instant) {
+        let Some(sock) = self.tcp.sockets[idx].as_mut() else { return };
+        sock.on_timer(now);
+        // Application pumps.
+        match self.tcp_apps.get_mut(&idx) {
+            Some(TcpApp::Echo) => {
+                loop {
+                    let data = sock.recv(4096);
+                    if data.is_empty() {
+                        break;
+                    }
+                    sock.send(&data);
+                }
+                // A well-behaved echo service closes when the peer does.
+                if sock.state() == crate::tcp::TcpState::CloseWait && sock.send_queue_len() == 0 {
+                    sock.close();
+                }
+            }
+            Some(TcpApp::DnsTcp { inbuf }) => {
+                inbuf.extend_from_slice(&sock.recv(4096));
+                while let Ok((query, consumed)) = DnsMessage::parse_tcp(inbuf) {
+                    inbuf.drain(..consumed);
+                    if let Some(zone) = &self.dns_zone {
+                        sock.send(&zone.answer(&query).emit_tcp());
+                    }
+                }
+            }
+            None => {}
+        }
+        let mut segs = std::mem::take(&mut self.tcp_segs);
+        sock.dispatch(now, &mut segs);
+        let (local, remote) = (sock.local, sock.remote);
+        let sent = segs.len();
+        for seg in segs.drain(..) {
+            self.send_tcp_segment(ctx, *local.ip(), *remote.ip(), seg);
+        }
+        // Segment buffers leave as frames and come back through the
+        // simulator's frame pool once delivered; refill the socket's
+        // spares from that pool so the circulation stays closed and
+        // bulk transfers keep reusing one small buffer working set.
+        if sent > 0 {
+            if let Some(sock) = self.tcp.sockets[idx].as_mut() {
+                for _ in 0..sent {
+                    if !sock.wants_spare() {
+                        break;
+                    }
+                    let buf = ctx.alloc_frame(crate::tcp::SEGMENT_HEADROOM + 1460);
+                    sock.recycle_payload(buf);
+                }
+            }
+        }
+        self.tcp_segs = segs;
+    }
+
     fn poll_at(&self) -> Option<Instant> {
-        let tcp = self.tcp_sockets.iter().flatten().filter_map(|s| s.poll_at()).min();
+        let tcp = self.tcp.poll_at();
         let sctp = self.sctp_endpoints.iter().flatten().filter_map(|s| s.poll_at()).min();
         let dccp = self.dccp_endpoints.iter().flatten().filter_map(|s| s.poll_at()).min();
         let dhcp = self.dhcp_client.as_ref().and_then(|(_, c)| c.poll_at());
@@ -878,13 +1040,7 @@ impl Host {
             let echo = s.echo;
             s.recv.push((src, data.clone()));
             if echo {
-                let h = UdpHandle(
-                    self.udp_sockets
-                        .iter()
-                        .position(|s| s.as_ref().map(|x| x.port == dst_port).unwrap_or(false))
-                        .unwrap(),
-                );
-                self.udp_send(ctx, h, src, &data);
+                self.udp_send(ctx, UdpHandle(idx.unwrap()), src, &data);
             }
             return;
         }
@@ -909,17 +1065,9 @@ impl Host {
         let data = tcp.payload();
         let remote = SocketAddrV4::new(ip.src_addr(), repr.src_port);
         // Existing connection?
-        let found = self.tcp_sockets.iter().position(|s| {
-            s.as_ref()
-                .map(|s| {
-                    s.local.port() == repr.dst_port
-                        && s.remote == remote
-                        && s.local.ip() == &ip.dst_addr()
-                })
-                .unwrap_or(false)
-        });
-        if let Some(idx) = found {
-            self.tcp_sockets[idx].as_mut().unwrap().process(ctx.now(), &repr, data);
+        let local = SocketAddrV4::new(ip.dst_addr(), repr.dst_port);
+        if let Some(idx) = self.tcp.lookup(local, remote) {
+            self.tcp.touch(idx).expect("demux holds live slots").process(ctx.now(), &repr, data);
             self.poll(ctx);
             return;
         }
@@ -929,10 +1077,8 @@ impl Host {
                 let app = l.app;
                 let config = l.config;
                 let iss = SeqNumber(ctx.rng().next_u32());
-                let local = SocketAddrV4::new(ip.dst_addr(), repr.dst_port);
                 let socket = TcpSocket::server(local, remote, iss, config, &repr, ctx.now());
-                let idx = free_slot(&mut self.tcp_sockets);
-                self.tcp_sockets[idx] = Some(socket);
+                let idx = self.tcp_insert(socket);
                 match app {
                     ListenerApp::Echo => {
                         self.tcp_apps.insert(idx, TcpApp::Echo);
@@ -1213,14 +1359,12 @@ impl Host {
     }
 }
 
-/// Finds or creates a free slot in a socket table.
-fn free_slot<T>(v: &mut Vec<Option<T>>) -> usize {
-    if let Some(i) = v.iter().position(|s| s.is_none()) {
-        i
-    } else {
+/// Takes the lowest freed slot of a socket table, or appends a new one.
+fn free_slot<T>(v: &mut Vec<Option<T>>, freed: &mut BTreeSet<usize>) -> usize {
+    freed.pop_first().unwrap_or_else(|| {
         v.push(None);
         v.len() - 1
-    }
+    })
 }
 
 impl Node for Host {
@@ -1267,4 +1411,214 @@ impl Node for Host {
     }
 
     impl_node_downcast!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tcp::TcpState;
+    use hgw_core::{Duration, LinkConfig, NodeId, Simulator};
+
+    const HOST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+    const PEER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+
+    /// The far end of the host's link: records every frame it receives.
+    struct Tap {
+        got: Vec<Vec<u8>>,
+    }
+
+    impl Node for Tap {
+        fn start(&mut self, _ctx: &mut NodeCtx) {}
+        fn handle_frame(&mut self, _ctx: &mut NodeCtx, _port: PortId, frame: &mut Vec<u8>) {
+            self.got.push(std::mem::take(frame));
+        }
+        fn handle_timer(&mut self, _ctx: &mut NodeCtx, _token: TimerToken) {}
+        impl_node_downcast!();
+    }
+
+    /// A host listening on port 80 (manual accept) wired to a tap.
+    fn wired() -> (Simulator, NodeId, NodeId) {
+        let mut sim = Simulator::new(3);
+        let mut host = Host::new("host");
+        host.add_iface(PortId(0), IfaceConfig::new(HOST, 24));
+        host.tcp_listen(80, ListenerApp::Manual);
+        let host = sim.add_node(Box::new(host));
+        let tap = sim.add_node(Box::new(Tap { got: Vec::new() }));
+        sim.connect(host, PortId(0), tap, PortId(0), LinkConfig::ethernet_100m());
+        sim.boot();
+        (sim, host, tap)
+    }
+
+    /// A segment from `PEER:src_port` to the host's port 80.
+    fn segment(src_port: u16, flags: TcpFlags, seq: u32, ack: u32, payload: &[u8]) -> Vec<u8> {
+        let repr = TcpRepr {
+            seq: SeqNumber(seq),
+            ack: SeqNumber(ack),
+            window: 65_535,
+            ..TcpRepr::new(src_port, 80, flags)
+        };
+        let tcp = repr.emit_with_payload(PEER, HOST, payload);
+        Ipv4Repr::new(PEER, HOST, Protocol::Tcp).emit_with_payload(&tcp)
+    }
+
+    fn inject(sim: &mut Simulator, tap: NodeId, frame: Vec<u8>) {
+        sim.with_node::<Tap, _>(tap, |_, ctx| ctx.send_frame(PortId(0), frame));
+        sim.run_for(Duration::from_millis(5));
+    }
+
+    /// The TCP headers of every frame the tap received since the last call.
+    fn received(sim: &mut Simulator, tap: NodeId) -> Vec<TcpRepr> {
+        let frames = sim.with_node::<Tap, _>(tap, |t, _| std::mem::take(&mut t.got));
+        frames
+            .iter()
+            .map(|f| {
+                let ip = Ipv4Packet::new_checked(&f[..]).unwrap();
+                TcpRepr::parse_unverified(&TcpPacket::new_checked(ip.payload()).unwrap()).unwrap()
+            })
+            .collect()
+    }
+
+    fn server_socket(src_port: u16, iss: u32, now: Instant) -> TcpSocket {
+        let syn = TcpRepr { seq: SeqNumber(100), ..TcpRepr::new(src_port, 80, TcpFlags::SYN) };
+        let local = SocketAddrV4::new(HOST, 80);
+        let remote = SocketAddrV4::new(PEER, src_port);
+        TcpSocket::server(local, remote, SeqNumber(iss), TcpConfig::default(), &syn, now)
+    }
+
+    #[test]
+    fn ephemeral_ports_skip_bound_ports_in_round_robin_order() {
+        let mut h = Host::new("host");
+        let port = |h: &mut Host| {
+            let u = h.udp_bind_ephemeral();
+            h.udp_local_port(u)
+        };
+        let fixed = h.udp_bind(49_153);
+        let client = SocketAddrV4::new(HOST, 49_155);
+        let config = TcpConfig::default();
+        let tcp =
+            h.tcp_insert(TcpSocket::client(client, client, SeqNumber(1), config, Instant::ZERO));
+        assert_eq!(port(&mut h), 49_152);
+        assert_eq!(port(&mut h), 49_154, "skips the UDP-bound port");
+        assert_eq!(port(&mut h), 49_156, "skips the TCP-bound port");
+        h.udp_close(fixed);
+        h.tcp_remove(TcpHandle(tcp));
+        // Freed ports come round again only after the counter wraps.
+        assert_eq!(port(&mut h), 49_157);
+        h.next_ephemeral = 16_383;
+        assert_eq!(port(&mut h), 65_535);
+        assert_eq!(port(&mut h), 49_153);
+        assert_eq!(port(&mut h), 49_155);
+        assert_eq!(port(&mut h), 49_158);
+    }
+
+    #[test]
+    fn duplicate_tuple_goes_to_the_lowest_slot() {
+        let (mut sim, host, tap) = wired();
+        let (stale, live) = sim.with_node::<Host, _>(host, |h, ctx| {
+            let stale = TcpHandle(h.tcp_insert(server_socket(40_000, 1, ctx.now())));
+            let live = TcpHandle(h.tcp_insert(server_socket(40_000, 5_000, ctx.now())));
+            h.tcp_mut(stale).abort();
+            h.kick(ctx);
+            (stale, live)
+        });
+        sim.run_for(Duration::from_millis(5));
+        let synack = received(&mut sim, tap);
+        assert_eq!(synack.len(), 1, "only the live socket answers");
+        assert_eq!(synack[0].seq, SeqNumber(5_000));
+        // A fresh SYN and the live socket's handshake ACK both reach the
+        // Closed socket in the lower slot, which swallows them.
+        inject(&mut sim, tap, segment(40_000, TcpFlags::SYN, 900, 0, &[]));
+        inject(&mut sim, tap, segment(40_000, TcpFlags::ACK, 101, 5_001, &[]));
+        assert!(received(&mut sim, tap).is_empty());
+        sim.with_node::<Host, _>(host, |h, _| {
+            assert!(h.tcp_accepted().is_empty());
+            assert_eq!(h.tcp(live).state(), TcpState::SynRcvd);
+            h.tcp_remove(stale);
+        });
+        // With the stale slot gone, the tuple demuxes to the live socket.
+        inject(&mut sim, tap, segment(40_000, TcpFlags::ACK, 101, 5_001, &[]));
+        sim.with_node::<Host, _>(host, |h, _| {
+            assert_eq!(h.tcp(live).state(), TcpState::Established);
+        });
+    }
+
+    #[test]
+    fn reused_slot_and_tuple_follow_the_new_socket() {
+        let (mut sim, host, tap) = wired();
+        inject(&mut sim, tap, segment(40_000, TcpFlags::SYN, 100, 0, &[]));
+        assert_eq!(received(&mut sim, tap)[0].ack, SeqNumber(101));
+        sim.with_node::<Host, _>(host, |h, _| {
+            assert_eq!(h.tcp_accepted(), vec![TcpHandle(0)]);
+            assert!(h.tcp.poll_at().is_some(), "the handshake RTO is indexed");
+            h.tcp_remove(TcpHandle(0));
+            assert_eq!(h.tcp.poll_at(), None, "the removed socket's deadline is gone");
+        });
+        sim.run_for(Duration::from_millis(300));
+        inject(&mut sim, tap, segment(40_000, TcpFlags::SYN, 7_000, 0, &[]));
+        let synack = received(&mut sim, tap);
+        assert_eq!(synack.len(), 1);
+        assert_eq!(synack[0].ack, SeqNumber(7_001));
+        sim.with_node::<Host, _>(host, |h, _| {
+            assert_eq!(h.tcp_accepted(), vec![TcpHandle(0)], "the freed slot is reused");
+            assert_eq!(h.tcp.deadlines.len(), 1);
+            assert_eq!(h.poll_at(), h.tcp(TcpHandle(0)).poll_at());
+        });
+        let ack = synack[0].seq.add(1).0;
+        inject(&mut sim, tap, segment(40_000, TcpFlags::ACK, 7_001, ack, &[]));
+        sim.with_node::<Host, _>(host, |h, _| {
+            assert_eq!(h.tcp(TcpHandle(0)).state(), TcpState::Established);
+            assert_eq!(h.poll_at(), None);
+        });
+    }
+
+    #[test]
+    fn tcp_mut_without_kick_is_flushed_by_another_sockets_frame() {
+        let (mut sim, host, tap) = wired();
+        inject(&mut sim, tap, segment(40_000, TcpFlags::SYN, 100, 0, &[]));
+        let iss = received(&mut sim, tap)[0].seq;
+        inject(&mut sim, tap, segment(40_000, TcpFlags::ACK, 101, iss.add(1).0, b"hello"));
+        assert_eq!(received(&mut sim, tap).len(), 1, "the data is acknowledged");
+        // Read without a kick: the window-update ACK is pending, not sent.
+        sim.with_node::<Host, _>(host, |h, _| {
+            assert_eq!(h.tcp_mut(TcpHandle(0)).recv(100), b"hello");
+        });
+        sim.run_for(Duration::from_millis(5));
+        assert!(received(&mut sim, tap).is_empty());
+        // A SYN for a second connection polls the host, which flushes the
+        // first socket's window update before answering the SYN.
+        inject(&mut sim, tap, segment(40_001, TcpFlags::SYN, 100, 0, &[]));
+        let out = received(&mut sim, tap);
+        assert_eq!(out.len(), 2);
+        assert_eq!((out[0].dst_port, out[0].flags), (40_000, TcpFlags::ACK));
+        assert_eq!(out[0].ack, SeqNumber(106));
+        assert_eq!(out[1].dst_port, 40_001);
+        assert!(out[1].flags.contains(TcpFlags::SYN));
+    }
+
+    #[test]
+    fn due_socket_is_served_in_the_poll_of_another_sockets_frame() {
+        let (mut sim, host, tap) = wired();
+        // Slot 0 never completes its handshake; slot 1 does.
+        inject(&mut sim, tap, segment(40_000, TcpFlags::SYN, 100, 0, &[]));
+        inject(&mut sim, tap, segment(40_001, TcpFlags::SYN, 100, 0, &[]));
+        let synacks = received(&mut sim, tap);
+        let iss = synacks[1].seq;
+        inject(&mut sim, tap, segment(40_001, TcpFlags::ACK, 101, iss.add(1).0, &[]));
+        let rto = sim.with_node::<Host, _>(host, |h, _| h.tcp(TcpHandle(0)).poll_at().unwrap());
+        // Stop just before the host's own timer for slot 0's RTO fires and
+        // hand it a frame for slot 1 at that very instant.
+        sim.run_until(rto);
+        let data = segment(40_001, TcpFlags::ACK | TcpFlags::PSH, 101, iss.add(1).0, b"data");
+        sim.with_node::<Host, _>(host, |h, ctx| {
+            assert_eq!(ctx.now(), rto);
+            h.handle_frame(ctx, PortId(0), &mut data.clone());
+            assert!(h.tcp(TcpHandle(0)).poll_at().unwrap() > rto, "RTO served in this poll");
+        });
+        sim.run_for(Duration::from_millis(5));
+        let out = received(&mut sim, tap);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].dst_port, 40_000, "the lower slot's retransmission leaves first");
+        assert_eq!(out[0].flags, TcpFlags::SYN | TcpFlags::ACK);
+        assert_eq!((out[1].dst_port, out[1].ack), (40_001, SeqNumber(105)));
+    }
 }

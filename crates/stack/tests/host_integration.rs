@@ -52,6 +52,34 @@ fn udp_round_trip() {
 }
 
 #[test]
+fn udp_echo_replies_from_the_socket_that_matched() {
+    // A wildcard socket and an alias-bound echo socket share a port: the
+    // echo of a datagram sent to the alias must leave from the alias.
+    const B_ALIAS: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 3);
+    let (mut sim, a, b) = two_hosts();
+    let (wild, alias) = sim.with_node::<Host, _>(b, |h, _| {
+        h.add_alias(PortId(0), B_ALIAS);
+        let wild = h.udp_bind(7000);
+        let alias = h.udp_bind_at(B_ALIAS, 7000);
+        h.udp_set_echo(alias, true);
+        (wild, alias)
+    });
+    let ha = sim.with_node::<Host, _>(a, |h, ctx| {
+        let ha = h.udp_bind_ephemeral();
+        h.udp_send(ctx, ha, SocketAddrV4::new(B_ALIAS, 7000), b"to-alias");
+        ha
+    });
+    sim.run_for(Duration::from_millis(10));
+    let (from, data) = sim.with_node::<Host, _>(a, |h, _| h.udp_recv(ha)).expect("echo reply");
+    assert_eq!(from, SocketAddrV4::new(B_ALIAS, 7000));
+    assert_eq!(data, b"to-alias");
+    sim.with_node::<Host, _>(b, |h, _| {
+        assert_eq!(h.udp_recv(alias).unwrap().1, b"to-alias");
+        assert!(h.udp_recv(wild).is_none());
+    });
+}
+
+#[test]
 fn udp_to_closed_port_generates_port_unreachable() {
     let (mut sim, a, _b) = two_hosts();
     sim.with_node::<Host, _>(a, |h, ctx| {
