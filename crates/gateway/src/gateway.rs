@@ -25,13 +25,11 @@ use hgw_wire::dns::DnsMessage;
 use hgw_wire::icmp::{IcmpRepr, TimeExceededCode, UnreachCode};
 use hgw_wire::ip::{Ipv4Repr, Protocol, OPT_RECORD_ROUTE};
 use hgw_wire::tcp::TcpRepr;
-use hgw_wire::{Ipv4Packet, SeqNumber, TcpFlags, TcpPacket, UdpPacket, UdpRepr};
+use hgw_wire::{ChecksumDelta, Ipv4Packet, SeqNumber, TcpFlags, TcpPacket, UdpPacket, UdpRepr};
 
 use crate::engine::{ForwardingEngine, FwdDir};
 use crate::nat::{InboundVerdict, NatProto, NatTable, OutboundVerdict};
-use crate::policy::{
-    DnsTcpMode, GatewayPolicy, IcmpErrorKind, NatChecksumMode, UnknownProtoPolicy,
-};
+use crate::policy::{DnsTcpMode, GatewayPolicy, IcmpErrorKind, UnknownProtoPolicy};
 
 /// The LAN-side port of every gateway.
 pub const LAN_PORT: PortId = PortId(0);
@@ -327,40 +325,28 @@ impl Gateway {
     fn forward_up(&mut self, ctx: &mut NodeCtx, mut frame: Vec<u8>) {
         let Some(wan_addr) = self.wan_addr else { return };
         // Hairpinning: a LAN packet addressed to our own external address.
-        {
-            let ip = Ipv4Packet::new_unchecked(&frame[..]);
-            if ip.dst_addr() == wan_addr {
-                if self.policy.hairpinning {
-                    self.hairpin(ctx, frame);
-                }
-                return;
+        if Ipv4Packet::new_unchecked(&frame[..]).dst_addr() == wan_addr {
+            if self.policy.hairpinning {
+                self.hairpin(ctx, frame);
             }
+            return;
         }
         // TTL handling.
-        {
-            let mut ip = Ipv4Packet::new_unchecked(&mut frame[..]);
-            if self.policy.decrement_ttl {
-                let ttl = ip.ttl();
-                if ttl <= 1 {
-                    let src = ip.src_addr();
-                    let msg = IcmpRepr::TimeExceeded {
-                        code: TimeExceededCode::TtlExceeded,
-                        invoking: frame.clone(),
-                    };
-                    let repr = Ipv4Repr::new(self.lan_addr, src, Protocol::Icmp);
-                    ctx.send_frame(LAN_PORT, repr.emit_with_payload(&msg.emit()));
-                    let bytes = frame.len();
-                    self.drop_frame(ctx, DropReason::TtlExpired, bytes);
-                    return;
-                }
-                match self.policy.nat_checksum {
-                    NatChecksumMode::Incremental => ip.set_ttl_adjusted(ttl - 1),
-                    NatChecksumMode::FullRecompute => {
-                        ip.set_ttl(ttl - 1);
-                        ip.fill_checksum();
-                    }
-                }
+        if self.policy.decrement_ttl {
+            let ip = Ipv4Packet::new_unchecked(&frame[..]);
+            if ip.ttl() <= 1 {
+                let src = ip.src_addr();
+                let msg = IcmpRepr::TimeExceeded {
+                    code: TimeExceededCode::TtlExceeded,
+                    invoking: frame.clone(),
+                };
+                let repr = Ipv4Repr::new(self.lan_addr, src, Protocol::Icmp);
+                ctx.send_frame(LAN_PORT, repr.emit_with_payload(&msg.emit()));
+                let bytes = frame.len();
+                self.drop_frame(ctx, DropReason::TtlExpired, bytes);
+                return;
             }
+            rewrite_in_place(&mut frame, None, true);
         }
         // Record Route.
         if self.policy.honor_record_route {
@@ -369,106 +355,17 @@ impl Gateway {
 
         let ip = Ipv4Packet::new_unchecked(&frame[..]);
         let (src_addr, dst_addr) = (ip.src_addr(), ip.dst_addr());
-        let hl = ip.header_len();
-        let proto = ip.protocol();
         let now = ctx.now();
-        match proto {
+        let (proto, sport, dport, fin, rst) = match ip.protocol() {
             Protocol::Udp => {
                 let Ok(udp) = UdpPacket::new_checked(ip.payload()) else { return };
-                let (sport, dport) = (udp.src_port(), udp.dst_port());
-                match self.nat.outbound(
-                    now,
-                    &self.policy,
-                    NatProto::Udp,
-                    (src_addr, sport),
-                    (dst_addr, dport),
-                    false,
-                    false,
-                ) {
-                    OutboundVerdict::Translated { external_port, created } => {
-                        {
-                            let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                            match self.policy.nat_checksum {
-                                NatChecksumMode::Incremental => {
-                                    let mut delta = ipm.set_src_addr_adjusted(wan_addr);
-                                    let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
-                                    delta.update_word(sport, external_port);
-                                    udpm.set_src_port(external_port);
-                                    udpm.adjust_checksum(delta);
-                                }
-                                NatChecksumMode::FullRecompute => {
-                                    ipm.set_src_addr(wan_addr);
-                                    ipm.fill_checksum();
-                                    let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
-                                    udpm.set_src_port(external_port);
-                                    if udpm.checksum() != 0 {
-                                        udpm.fill_checksum(wan_addr, dst_addr);
-                                    }
-                                }
-                            }
-                        }
-                        if created {
-                            ctx.emit_trace(TraceEvent::BindingCreated {
-                                external_port,
-                                port_preserved: external_port == sport,
-                            });
-                        }
-                        self.forward_created(ctx, FwdDir::Up, frame, created);
-                    }
-                    OutboundVerdict::NoCapacity => {
-                        let bytes = frame.len();
-                        self.drop_frame(ctx, DropReason::Capacity, bytes);
-                    }
-                }
+                (NatProto::Udp, udp.src_port(), udp.dst_port(), false, false)
             }
             Protocol::Tcp => {
                 let Ok(tcp) = TcpPacket::new_checked(ip.payload()) else { return };
-                let (sport, dport) = (tcp.src_port(), tcp.dst_port());
                 let flags = tcp.flags();
-                match self.nat.outbound(
-                    now,
-                    &self.policy,
-                    NatProto::Tcp,
-                    (src_addr, sport),
-                    (dst_addr, dport),
-                    flags.contains(TcpFlags::FIN),
-                    flags.contains(TcpFlags::RST),
-                ) {
-                    OutboundVerdict::Translated { external_port, created } => {
-                        {
-                            let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                            match self.policy.nat_checksum {
-                                NatChecksumMode::Incremental => {
-                                    let mut delta = ipm.set_src_addr_adjusted(wan_addr);
-                                    let mut tcpm =
-                                        TcpPacket::new_unchecked(&mut ipm.into_inner()[hl..]);
-                                    delta.update_word(sport, external_port);
-                                    tcpm.set_src_port(external_port);
-                                    tcpm.adjust_checksum(delta);
-                                }
-                                NatChecksumMode::FullRecompute => {
-                                    ipm.set_src_addr(wan_addr);
-                                    ipm.fill_checksum();
-                                    let mut tcpm =
-                                        TcpPacket::new_unchecked(&mut ipm.into_inner()[hl..]);
-                                    tcpm.set_src_port(external_port);
-                                    tcpm.fill_checksum(wan_addr, dst_addr);
-                                }
-                            }
-                        }
-                        if created {
-                            ctx.emit_trace(TraceEvent::BindingCreated {
-                                external_port,
-                                port_preserved: external_port == sport,
-                            });
-                        }
-                        self.forward_created(ctx, FwdDir::Up, frame, created);
-                    }
-                    OutboundVerdict::NoCapacity => {
-                        let bytes = frame.len();
-                        self.drop_frame(ctx, DropReason::Capacity, bytes);
-                    }
-                }
+                let (fin, rst) = (flags.contains(TcpFlags::FIN), flags.contains(TcpFlags::RST));
+                (NatProto::Tcp, tcp.src_port(), tcp.dst_port(), fin, rst)
             }
             Protocol::Icmp => {
                 let Ok(msg) = IcmpRepr::parse(ip.payload()) else { return };
@@ -505,19 +402,11 @@ impl Gateway {
                     }
                     _ => {
                         // Outbound errors/replies: rewrite the source only.
-                        let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                        match self.policy.nat_checksum {
-                            NatChecksumMode::Incremental => {
-                                ipm.set_src_addr_adjusted(wan_addr);
-                            }
-                            NatChecksumMode::FullRecompute => {
-                                ipm.set_src_addr(wan_addr);
-                                ipm.fill_checksum();
-                            }
-                        }
+                        rewrite_in_place(&mut frame, Some(Endpoint::Src(wan_addr, None)), false);
                         self.forward(ctx, FwdDir::Up, frame);
                     }
                 }
+                return;
             }
             other => {
                 // Unknown transport: the §4.3 fallback behaviors.
@@ -531,25 +420,42 @@ impl Gateway {
                         if !self.ip_assocs.contains(&key) {
                             self.ip_assocs.push(key);
                         }
-                        let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                        match self.policy.nat_checksum {
-                            NatChecksumMode::Incremental => {
-                                ipm.set_src_addr_adjusted(wan_addr);
-                            }
-                            NatChecksumMode::FullRecompute => {
-                                ipm.set_src_addr(wan_addr);
-                                ipm.fill_checksum();
-                            }
-                        }
                         // Deliberately no transport checksum fixup: SCTP's
                         // CRC-32c survives, DCCP's pseudo-header checksum
                         // breaks — the emergent §4.3 result.
+                        rewrite_in_place(&mut frame, Some(Endpoint::Src(wan_addr, None)), false);
                         self.forward(ctx, FwdDir::Up, frame);
                     }
                     UnknownProtoPolicy::PassThrough => {
                         self.forward(ctx, FwdDir::Up, frame);
                     }
                 }
+                return;
+            }
+        };
+        match self.nat.outbound(
+            now,
+            &self.policy,
+            proto,
+            (src_addr, sport),
+            (dst_addr, dport),
+            fin,
+            rst,
+        ) {
+            OutboundVerdict::Translated { external_port, created } => {
+                let from = Endpoint::Src(wan_addr, Some(external_port));
+                rewrite_in_place(&mut frame, Some(from), false);
+                if created {
+                    ctx.emit_trace(TraceEvent::BindingCreated {
+                        external_port,
+                        port_preserved: external_port == sport,
+                    });
+                }
+                self.forward_created(ctx, FwdDir::Up, frame, created);
+            }
+            OutboundVerdict::NoCapacity => {
+                let bytes = frame.len();
+                self.drop_frame(ctx, DropReason::Capacity, bytes);
             }
         }
     }
@@ -630,8 +536,11 @@ impl Gateway {
                         break;
                     }
                     if kind == OPT_RECORD_ROUTE && len >= 3 {
-                        let pointer = frame[off + 2] as usize; // 1-based within option
-                        if pointer + 3 <= len {
+                        // 1-based within the option. RFC 791's smallest legal
+                        // pointer is 4 (the first slot); a smaller one names no
+                        // slot and is left untouched.
+                        let pointer = frame[off + 2] as usize;
+                        if pointer >= 4 && pointer + 3 <= len {
                             let slot = off + pointer - 1;
                             frame[slot..slot + 4].copy_from_slice(&wan_addr.octets());
                             frame[off + 2] = (pointer + 4) as u8;
@@ -679,7 +588,7 @@ impl Gateway {
             return;
         }
 
-        match proto {
+        let (nat_proto, sport, dport, fin, rst) = match proto {
             Protocol::Udp => {
                 let Ok(udp) = UdpPacket::new_checked(&frame[hl..tl]) else { return };
                 if !udp.verify_checksum(src_addr, dst_addr) {
@@ -698,61 +607,7 @@ impl Gateway {
                         return;
                     }
                 }
-                match self.nat.inbound(
-                    now,
-                    &self.policy,
-                    NatProto::Udp,
-                    dport,
-                    (src_addr, sport),
-                    false,
-                    false,
-                ) {
-                    InboundVerdict::Accept { internal } => {
-                        {
-                            let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                            if self.policy.decrement_ttl && ipm.ttl() <= 1 {
-                                let bytes = frame.len();
-                                self.drop_frame(ctx, DropReason::TtlExpired, bytes);
-                                return;
-                            }
-                            match self.policy.nat_checksum {
-                                NatChecksumMode::Incremental => {
-                                    let mut delta = ipm.set_dst_addr_adjusted(internal.0);
-                                    if self.policy.decrement_ttl {
-                                        let ttl = ipm.ttl();
-                                        ipm.set_ttl_adjusted(ttl - 1);
-                                    }
-                                    let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
-                                    delta.update_word(dport, internal.1);
-                                    udpm.set_dst_port(internal.1);
-                                    udpm.adjust_checksum(delta);
-                                }
-                                NatChecksumMode::FullRecompute => {
-                                    ipm.set_dst_addr(internal.0);
-                                    if self.policy.decrement_ttl {
-                                        let ttl = ipm.ttl();
-                                        ipm.set_ttl(ttl - 1);
-                                    }
-                                    ipm.fill_checksum();
-                                    let mut udpm = UdpPacket::new_unchecked(ipm.payload_mut());
-                                    udpm.set_dst_port(internal.1);
-                                    if udpm.checksum() != 0 {
-                                        udpm.fill_checksum(src_addr, internal.0);
-                                    }
-                                }
-                            }
-                        }
-                        self.forward(ctx, FwdDir::Down, frame);
-                    }
-                    InboundVerdict::Filtered => {
-                        let bytes = frame.len();
-                        self.drop_frame(ctx, DropReason::Filtered, bytes);
-                    }
-                    InboundVerdict::NoBinding => {
-                        let bytes = frame.len();
-                        self.drop_frame(ctx, DropReason::NoBinding, bytes);
-                    }
-                }
+                (NatProto::Udp, sport, dport, false, false)
             }
             Protocol::Tcp => {
                 let Ok(tcp) = TcpPacket::new_checked(&frame[hl..tl]) else { return };
@@ -767,61 +622,8 @@ impl Gateway {
                 if sport == 53 && self.upstream_conn_input(ctx, src_addr, dport, &frame[hl..tl]) {
                     return;
                 }
-                match self.nat.inbound(
-                    now,
-                    &self.policy,
-                    NatProto::Tcp,
-                    dport,
-                    (src_addr, sport),
-                    flags.contains(TcpFlags::FIN),
-                    flags.contains(TcpFlags::RST),
-                ) {
-                    InboundVerdict::Accept { internal } => {
-                        {
-                            let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                            if self.policy.decrement_ttl && ipm.ttl() <= 1 {
-                                let bytes = frame.len();
-                                self.drop_frame(ctx, DropReason::TtlExpired, bytes);
-                                return;
-                            }
-                            match self.policy.nat_checksum {
-                                NatChecksumMode::Incremental => {
-                                    let mut delta = ipm.set_dst_addr_adjusted(internal.0);
-                                    if self.policy.decrement_ttl {
-                                        let ttl = ipm.ttl();
-                                        ipm.set_ttl_adjusted(ttl - 1);
-                                    }
-                                    let inner = ipm.into_inner();
-                                    let mut tcpm = TcpPacket::new_unchecked(&mut inner[hl..]);
-                                    delta.update_word(dport, internal.1);
-                                    tcpm.set_dst_port(internal.1);
-                                    tcpm.adjust_checksum(delta);
-                                }
-                                NatChecksumMode::FullRecompute => {
-                                    ipm.set_dst_addr(internal.0);
-                                    if self.policy.decrement_ttl {
-                                        let ttl = ipm.ttl();
-                                        ipm.set_ttl(ttl - 1);
-                                    }
-                                    ipm.fill_checksum();
-                                    let inner = ipm.into_inner();
-                                    let mut tcpm = TcpPacket::new_unchecked(&mut inner[hl..]);
-                                    tcpm.set_dst_port(internal.1);
-                                    tcpm.fill_checksum(src_addr, internal.0);
-                                }
-                            }
-                        }
-                        self.forward(ctx, FwdDir::Down, frame);
-                    }
-                    InboundVerdict::Filtered => {
-                        let bytes = frame.len();
-                        self.drop_frame(ctx, DropReason::Filtered, bytes);
-                    }
-                    InboundVerdict::NoBinding => {
-                        let bytes = frame.len();
-                        self.drop_frame(ctx, DropReason::NoBinding, bytes);
-                    }
-                }
+                let (fin, rst) = (flags.contains(TcpFlags::FIN), flags.contains(TcpFlags::RST));
+                (NatProto::Tcp, sport, dport, fin, rst)
             }
             Protocol::Icmp => {
                 let Ok(msg) = IcmpRepr::parse(&frame[hl..tl]) else { return };
@@ -849,28 +651,48 @@ impl Gateway {
                     }
                     error => self.translate_icmp_error(ctx, src_addr, error),
                 }
+                return;
             }
             other => {
                 // Unknown transports inbound.
-                if let UnknownProtoPolicy::IpRewrite { allow_inbound } = self.policy.unknown_proto {
-                    if allow_inbound {
-                        if let Some(&(_, internal, _)) = self
-                            .ip_assocs
-                            .iter()
-                            .find(|(p, _, r)| *p == other.number() && *r == src_addr)
-                        {
-                            let mut ipm = Ipv4Packet::new_unchecked(&mut frame[..]);
-                            ipm.set_dst_addr(internal);
-                            ipm.fill_checksum();
-                            self.forward(ctx, FwdDir::Down, frame);
-                            return;
-                        }
+                if let UnknownProtoPolicy::IpRewrite { allow_inbound: true } =
+                    self.policy.unknown_proto
+                {
+                    if let Some(&(_, internal, _)) = self
+                        .ip_assocs
+                        .iter()
+                        .find(|(p, _, r)| *p == other.number() && *r == src_addr)
+                    {
+                        rewrite_in_place(&mut frame, Some(Endpoint::Dst(internal, None)), false);
+                        self.forward(ctx, FwdDir::Down, frame);
+                        return;
                     }
                 }
                 let bytes = frame.len();
                 self.drop_frame(ctx, DropReason::UnknownProto, bytes);
+                return;
             }
-        }
+        };
+        let verdict =
+            self.nat.inbound(now, &self.policy, nat_proto, dport, (src_addr, sport), fin, rst);
+        let decrement_ttl = self.policy.decrement_ttl;
+        let reason = match verdict {
+            InboundVerdict::Accept { .. }
+                if decrement_ttl && Ipv4Packet::new_unchecked(&frame[..]).ttl() <= 1 =>
+            {
+                DropReason::TtlExpired
+            }
+            InboundVerdict::Accept { internal } => {
+                let to = Endpoint::Dst(internal.0, Some(internal.1));
+                rewrite_in_place(&mut frame, Some(to), decrement_ttl);
+                self.forward(ctx, FwdDir::Down, frame);
+                return;
+            }
+            InboundVerdict::Filtered => DropReason::Filtered,
+            InboundVerdict::NoBinding => DropReason::NoBinding,
+        };
+        let bytes = frame.len();
+        self.drop_frame(ctx, reason, bytes);
     }
 
     // -------------------------------------------------- ICMP translation --
@@ -905,7 +727,9 @@ impl Gateway {
             self.stats.icmp_dropped += 1;
             return;
         };
-        let Some(wan_addr) = self.wan_addr else { return };
+        if self.wan_addr.is_none() {
+            return;
+        }
         let Some(invoking) = msg.invoking() else {
             self.stats.icmp_dropped += 1;
             return;
@@ -1022,7 +846,6 @@ impl Gateway {
                 l4[4..6].copy_from_slice(&binding_internal.1.to_be_bytes());
             }
         }
-        let _ = wan_addr;
         let repr = Ipv4Repr::new(outer_src, binding_internal.0, Protocol::Icmp);
         let pkt = repr.emit_with_payload(&msg.emit());
         self.stats.icmp_translated += 1;
@@ -1319,6 +1142,53 @@ impl Gateway {
                 ctx.set_timer_at(want, TOKEN_POLL);
             }
         }
+    }
+}
+
+/// The endpoint a NAT rewrite translates, with its new address and, for
+/// TCP/UDP, its new port.
+#[derive(Clone, Copy)]
+enum Endpoint {
+    /// The source of an outbound packet.
+    Src(Ipv4Addr, Option<u16>),
+    /// The destination of an inbound packet.
+    Dst(Ipv4Addr, Option<u16>),
+}
+
+/// The gateway's one in-place header rewrite: translates `endpoint` (its
+/// address, and its TCP/UDP port when one is given), then decrements the
+/// TTL if asked. The IPv4 header and TCP/UDP checksums are patched
+/// incrementally per RFC 1624 rather than re-summed: incremental fixup
+/// preserves a broken transport checksum the gateway never verified, as
+/// real NATs do. A UDP checksum of zero ("not computed") stays zero. The
+/// transport checksum is touched only when a port is rewritten; callers
+/// have already checked that the transport header is present.
+fn rewrite_in_place(frame: &mut [u8], endpoint: Option<Endpoint>, decrement_ttl: bool) {
+    let mut ip = Ipv4Packet::new_unchecked(frame);
+    let mut delta = match endpoint {
+        Some(Endpoint::Src(addr, _)) => ip.set_src_addr_adjusted(addr),
+        Some(Endpoint::Dst(addr, _)) => ip.set_dst_addr_adjusted(addr),
+        None => ChecksumDelta::new(),
+    };
+    if decrement_ttl {
+        let ttl = ip.ttl();
+        ip.set_ttl_adjusted(ttl - 1);
+    }
+    // TCP and UDP both carry the source port in their first 16-bit word
+    // and the destination port in the second.
+    let (off, port) = match endpoint {
+        Some(Endpoint::Src(_, Some(port))) => (0, port),
+        Some(Endpoint::Dst(_, Some(port))) => (2, port),
+        _ => return,
+    };
+    let (hl, proto) = (ip.header_len(), ip.protocol());
+    let l4 = &mut ip.into_inner()[hl..];
+    delta.update_word(u16::from_be_bytes([l4[off], l4[off + 1]]), port);
+    l4[off..off + 2].copy_from_slice(&port.to_be_bytes());
+    match proto {
+        Protocol::Udp => UdpPacket::new_unchecked(l4).adjust_checksum(delta),
+        Protocol::Tcp => TcpPacket::new_unchecked(l4).adjust_checksum(delta),
+        _ => {}
     }
 }
 

@@ -138,6 +138,49 @@ mod tests {
     }
 
     #[test]
+    fn record_route_with_illegal_pointer_is_left_untouched() {
+        // RFC 791's smallest Record Route pointer is 4. A pointer of 0 names
+        // no slot, so a gateway that honors the option must forward it as
+        // sent instead of writing its address in front of the option.
+        let mut policy = GatewayPolicy::well_behaved();
+        policy.honor_record_route = true;
+        let mut tb = Testbed::new("quirks-rr-ptr0", policy, 3, 7);
+        let (server_addr, client_addr) = (tb.server_addr, tb.client_addr());
+        tb.with_host(HostId::Server, |h, _| {
+            h.sniff_enable();
+            h.sniff_take();
+            h.udp_bind(30_100);
+        });
+        let dgram = UdpRepr { src_port: 30_200, dst_port: 30_100 }.emit_with_payload(
+            client_addr,
+            server_addr,
+            b"rr-pointer-0",
+        );
+        let mut repr = Ipv4Repr::new(client_addr, server_addr, Protocol::Udp);
+        repr.options.push(Ipv4Option::RecordRoute { pointer: 0, data: vec![0u8; 12] });
+        let pkt = repr.emit_with_payload(&dgram);
+        let sent_options = pkt[20..Ipv4Packet::new_unchecked(&pkt[..]).header_len()].to_vec();
+        tb.with_host(HostId::Client, |h, ctx| h.raw_send(ctx, pkt));
+        tb.run_for(Duration::from_millis(200));
+
+        let arrived: Vec<Vec<u8>> = tb
+            .with_host(HostId::Server, |h, _| h.sniff_take())
+            .into_iter()
+            .map(|(_, f)| f)
+            .filter(|f| {
+                let ip = Ipv4Packet::new_unchecked(&f[..]);
+                ip.protocol() == Protocol::Udp
+                    && ip.payload().get(2..4) == Some(&30_100u16.to_be_bytes()[..])
+            })
+            .collect();
+        assert_eq!(arrived.len(), 1, "the probe datagram must reach the server once");
+        let ip = Ipv4Packet::new_unchecked(&arrived[0][..]);
+        assert_eq!(ip.dst_addr(), server_addr, "destination address was overwritten");
+        assert_eq!(&arrived[0][20..ip.header_len()], &sent_options[..], "options were rewritten");
+        assert!(ip.verify_checksum());
+    }
+
+    #[test]
     fn fleet_quirk_devices() {
         // Calibrated: dl9/smc/dl10 forward without decrementing, owrt
         // honors Record Route.

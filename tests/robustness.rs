@@ -1,9 +1,11 @@
 //! Robustness: determinism across runs, fault injection on the links, and
 //! measurement validity under adverse conditions.
 
-use hgw_core::FaultConfig;
+use hgw_core::{Dir, FaultConfig};
 use hgw_probe::udp_timeout::measure_udp1;
 use hgw_stack::host::{Host, ListenerApp};
+use hgw_wire::ip::Protocol;
+use hgw_wire::{Ipv4Packet, TcpPacket, UdpPacket};
 use home_gateway_study::prelude::*;
 
 #[test]
@@ -202,4 +204,85 @@ fn bringup_works_for_every_device_profile() {
         );
         let _ = srv;
     }
+}
+
+/// The checksum law every frame on the testbed wires obeys: a valid IPv4
+/// header checksum, and a TCP or UDP checksum that verifies against the
+/// pseudo-header (a zero UDP checksum means "not computed"). Returns the
+/// broken part of a frame that violates it.
+///
+/// ICMP bodies, and the packets embedded in ICMP errors, are not checked.
+/// Neither are SCTP and DCCP: a gateway that rewrites their IP addresses
+/// without a transport fixup breaks DCCP's pseudo-header checksum, which
+/// is the modelled §4.3 result.
+fn checksum_law_violation(frame: &[u8]) -> Option<&'static str> {
+    let Ok(ip) = Ipv4Packet::new_checked(frame) else { return Some("IPv4 header") };
+    if !ip.verify_checksum() {
+        return Some("IPv4 header checksum");
+    }
+    let (src, dst) = (ip.src_addr(), ip.dst_addr());
+    match ip.protocol() {
+        Protocol::Tcp => match TcpPacket::new_checked(ip.payload()) {
+            Ok(tcp) if tcp.verify_checksum(src, dst) => None,
+            _ => Some("TCP checksum"),
+        },
+        // `verify_checksum` accepts a zero UDP checksum.
+        Protocol::Udp => match UdpPacket::new_checked(ip.payload()) {
+            Ok(udp) if udp.verify_checksum(src, dst) => None,
+            _ => Some("UDP checksum"),
+        },
+        _ => None,
+    }
+}
+
+#[test]
+fn nat_rewrites_keep_every_wire_checksum_valid() {
+    // The gateway patches checksums incrementally (RFC 1624) on every
+    // header it rewrites. Capture both directions of both testbed links
+    // while a Table-1 battery runs through each device, and re-verify
+    // every frame from scratch after each probe, so a violation is
+    // reported before a later probe trips over the dropped frames.
+    type Probe = fn(&mut Testbed);
+    let probes: [(&str, Probe); 4] = [
+        ("ip quirks", |tb| {
+            hgw_probe::quirks::probe_ip_quirks(tb);
+        }),
+        ("throughput", |tb| {
+            hgw_probe::throughput::run_battery(tb, 256 * 1024);
+        }),
+        ("icmp", |tb| {
+            hgw_probe::icmp::measure_icmp_matrix(tb);
+        }),
+        ("transport", |tb| {
+            hgw_probe::transport::measure_transport_support(tb);
+        }),
+    ];
+    let mut frames = 0usize;
+    for (i, d) in devices::all_devices().into_iter().enumerate() {
+        let mut tb = Testbed::new(d.tag, d.policy.clone(), (i + 1) as u8, 0xC5 + i as u64);
+        let traces = [tb.lan_link, tb.wan_link].map(|link| [(link, Dir::AtoB), (link, Dir::BtoA)]);
+        for &(link, dir) in traces.iter().flatten() {
+            tb.sim.enable_trace(link, dir);
+        }
+        for (name, probe) in probes {
+            probe(&mut tb);
+            let mut bad = Vec::new();
+            for &(link, dir) in traces.iter().flatten() {
+                for (at, frame) in tb.sim.take_trace(link, dir) {
+                    frames += 1;
+                    if let Some(what) = checksum_law_violation(&frame) {
+                        bad.push(format!("{what} at {at:?}"));
+                    }
+                }
+            }
+            assert!(
+                bad.is_empty(),
+                "{} {name} probe: {} frames break the checksum law, first: {:?}",
+                d.tag,
+                bad.len(),
+                &bad[..bad.len().min(4)]
+            );
+        }
+    }
+    assert!(frames > 10_000, "the battery captured only {frames} frames");
 }

@@ -7,7 +7,11 @@ plot ordering is visible, values are reconstructed monotonically along the
 published x-axis order. This script verifies every constraint and emits
 `crates/devices/src/data.rs`.
 
-Run: python3 tools/calibrate.py
+Run: python3 tools/calibrate.py && cargo fmt -p hgw-devices
+
+The `cargo fmt` step is part of generation: the emitted literals are
+reformatted by rustfmt, and the pair reproduces the committed `data.rs`
+byte for byte (CI checks this with `git diff --exit-code`).
 """
 
 TAGS = ["al","ap","as1","be1","be2","bu1","dl1","dl10","dl2","dl3","dl4","dl5",
@@ -423,7 +427,6 @@ def emit():
                     buffer_down: {buf} * 1024,
                     per_packet_overhead: Duration::from_micros(20),
                 }},
-                nat_checksum: NatChecksumMode::Incremental,
                 decrement_ttl: {ttl_dec},
                 honor_record_route: {rr},
                 dns_proxy: DnsProxyPolicy {{ udp: true, tcp: {dns_tcp} }},
